@@ -115,10 +115,6 @@ type Options struct {
 	NoDirectHash   bool
 	NoEarlyBreak   bool
 	NoBlob         bool
-	// NoAdaptiveIntersect disables the per-(row, col) merge/hash selection
-	// of the intersection kernel and always uses the hash probe — the new
-	// ablation toggle, in the same kill-switch style as the paper's four.
-	NoAdaptiveIntersect bool
 	// TrackPerShift records per-shift kernel times in the Result.
 	TrackPerShift bool
 
@@ -234,15 +230,14 @@ type Options struct {
 
 func (o Options) coreOptions() core.Options {
 	return core.Options{
-		Enumeration:         o.Enumeration,
-		NoDoublySparse:      o.NoDoublySparse,
-		NoDirectHash:        o.NoDirectHash,
-		NoEarlyBreak:        o.NoEarlyBreak,
-		NoBlob:              o.NoBlob,
-		NoAdaptiveIntersect: o.NoAdaptiveIntersect,
-		TrackPerShift:       o.TrackPerShift,
-		KernelThreads:       o.KernelThreads,
-		Metrics:             o.Metrics,
+		Enumeration:    o.Enumeration,
+		NoDoublySparse: o.NoDoublySparse,
+		NoDirectHash:   o.NoDirectHash,
+		NoEarlyBreak:   o.NoEarlyBreak,
+		NoBlob:         o.NoBlob,
+		TrackPerShift:  o.TrackPerShift,
+		KernelThreads:  o.KernelThreads,
+		Metrics:        o.Metrics,
 	}
 }
 

@@ -20,15 +20,15 @@
 // resident cluster (no rebuild on the hot path), sweeping apply cost
 // against overflow fraction, then one fold rebuild restores the cyclic
 // layout. "kernel" is the intra-rank parallel-kernel scenario: one
-// resident state, counting epochs swept over kernel worker counts
-// (1 → NumCPU) × intersection modes (adaptive merge/hash selection vs
-// hash-only), reporting wall-time speedup per worker count and the
-// probe/task counters that prove exactness. "maintenance" is the
-// churn-proportional maintenance scenario: durable clusters absorb churn
-// batches (a fraction of the edge count, half deletes/half inserts) under
-// {incremental, full} rebuild × {delta, base} snapshot, reporting how many
-// preprocessing ops the incremental rebuild and how many bytes the delta
-// snapshot save over the boot-time full build and base snapshot. "replica"
+// resident state, counting epochs of the hash-intersection kernel swept
+// over kernel worker counts (1 → NumCPU), reporting wall-time speedup per
+// worker count and the probe/task counters that prove exactness.
+// "maintenance" is the churn-proportional maintenance scenario: durable
+// clusters absorb churn batches (a fraction of the edge count, half
+// deletes/half inserts) under {incremental, full} rebuild × {delta, base}
+// snapshot, reporting how many preprocessing ops the incremental rebuild
+// and how many bytes the delta snapshot save over the boot-time full build
+// and base snapshot. "replica"
 // is the WAL-shipping read-replica scenario: a durable primary under one
 // writer's update stream with a schedule of follower counts bootstrapping
 // from its snapshots and tailing its WAL over loopback HTTP, reporting
@@ -37,7 +37,7 @@
 // time and bootstrap-vs-WAL shipped bytes. All six always run when -json
 // is given; their rows land in the update_runs, concurrent_runs,
 // growth_runs, kernel_runs, maintenance_runs and replica_runs sections
-// (schema v8). Every measured scenario also self-observes the benchmark
+// (schema v9). Every measured scenario also self-observes the benchmark
 // process — peak heap, allocation volume, GC cycles/pauses, and (for the
 // concurrent and maintenance scenarios' resident clusters) the
 // metric-registry delta — into the JSON document's runtime section.

@@ -36,6 +36,6 @@ func main() {
 	fmt.Printf("triangles (sequential check):     %d\n", tc2d.CountSequential(g))
 	fmt.Printf("preprocessing %.3gs + counting %.3gs under the network cost model\n",
 		res.PreprocessTime, res.CountTime)
-	fmt.Printf("kernel: %d workers/rank, %d intersections (%d merge-path, %d hash-path, %d probes)\n",
-		res.KernelThreads, res.MapTasks, res.MergeTasks, res.MapTasks-res.MergeTasks, res.Probes)
+	fmt.Printf("kernel: %d workers/rank, %d intersections, %d hash probes\n",
+		res.KernelThreads, res.MapTasks, res.Probes)
 }

@@ -211,7 +211,7 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 		cancel()
 		return nil, err
 	}
-	prep, err := decodeChain(world, chain, blobs.fetch, kthreads, opt.NoAdaptiveIntersect, false)
+	prep, err := decodeChain(world, chain, blobs.fetch, kthreads, false)
 	if err != nil {
 		world.Close()
 		cancel()
@@ -232,7 +232,6 @@ func OpenFollower(primaryURL string, opt Options) (*Follower, error) {
 		baseM:               m.BaseM,
 		appliedEdges:        m.AppliedEdges,
 		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
 		readOnly:            true,
 		metrics:             newClusterMetrics(opt.Metrics),
 	}
@@ -488,7 +487,7 @@ func (f *Follower) rebootstrap() error {
 	if _, _, summa := cl.prep[0].GridShape(); summa != m.SUMMA {
 		return fmt.Errorf("primary changed grid schedule: follower must be restarted")
 	}
-	prep, err := decodeChain(cl.world, chain, blobs.fetch, cl.kernelThreads, cl.noAdaptive, false)
+	prep, err := decodeChain(cl.world, chain, blobs.fetch, cl.kernelThreads, false)
 	if err != nil {
 		return err
 	}

@@ -13,66 +13,27 @@ import (
 // field is a pure sum over (row, task) pairs, so any partitioning of the
 // pairs across workers reproduces the same totals.
 type kernelCounters struct {
-	triangles  int64
-	probes     int64 // hash-map lookups (Fig 2's tct ops; §7.1's probe metric)
-	mapTasks   int64 // (task, shift) pairs that ran a set intersection (Table 4)
-	mergeTasks int64 // the subset of mapTasks intersected by sorted merge
-	mergeOps   int64 // pointer advances performed by merge intersections
+	triangles int64
+	probes    int64 // hash-map lookups (Fig 2's tct ops; §7.1's probe metric)
+	mapTasks  int64 // (task, shift) pairs that ran a set intersection (Table 4)
 }
 
 func (kc *kernelCounters) add(o kernelCounters) {
 	kc.triangles += o.triangles
 	kc.probes += o.probes
 	kc.mapTasks += o.mapTasks
-	kc.mergeTasks += o.mergeTasks
-	kc.mergeOps += o.mergeOps
-}
-
-// mergeRatio is the length-skew bound of the adaptive intersection: a
-// (row, col) pair whose list lengths are within this factor of each other is
-// intersected with the sorted-merge scan (TC-Merge — linear, cache-friendly,
-// no hashing); more skewed pairs keep the hash probe (TC-Hash), whose cost
-// is bounded by the shorter probe list alone.
-const mergeRatio = 4
-
-// useMerge reports whether the adaptive kernel picks the sorted-merge scan
-// for a pair with list lengths lu and lc.
-func useMerge(lu, lc int) bool {
-	return lu <= mergeRatio*lc && lc <= mergeRatio*lu
-}
-
-// mergeIntersect counts the common keys of two ascending-sorted lists with a
-// two-pointer scan. Each pointer advance is one mergeOp.
-func mergeIntersect(urow, col []int32, kc *kernelCounters) {
-	i, j := 0, 0
-	for i < len(urow) && j < len(col) {
-		kc.mergeOps++
-		a, b := urow[i], col[j]
-		switch {
-		case a == b:
-			kc.triangles++
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
-		}
-	}
 }
 
 // kernelRow runs one task row of one compute step: hash the U-block row a
-// once (lazily — only if some pair takes the hash path) and intersect the
-// L-block column of every task against it (map-based intersection,
-// §3.1/§5.1). Every hit is one triangle.
+// once (lazily — only if some task column is non-empty) and probe it with
+// the L-block column of every task (map-based intersection, §3.1/§5.1).
+// Every hit is one triangle.
 //
-// Optimizations (§5.2 plus the adaptive extension), each toggleable:
+// Optimizations (§5.2), each toggleable:
 //   - direct hashing: when the row's largest key fits under the map mask,
 //     insert/lookup with a single bitwise AND, no probing;
 //   - early break: probe the (ascending sorted) column backwards and stop
-//     at the first key below the hashed row's minimum;
-//   - adaptive intersection: switch to a sorted-merge scan when the two
-//     lists are within mergeRatio of each other in length.
+//     at the first key below the hashed row's minimum.
 func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.Set, opt Options, kc *kernelCounters) {
 	tcols := task.row(a)
 	if len(tcols) == 0 {
@@ -84,8 +45,6 @@ func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.S
 		// nothing can intersect this shift.
 		return
 	}
-	mask := set.Mask()
-	adaptive := !opt.NoAdaptiveIntersect
 	built := false
 	minKey := urow[0] // rows are sorted ascending
 	for _, b := range tcols {
@@ -94,13 +53,8 @@ func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.S
 			continue
 		}
 		kc.mapTasks++
-		if adaptive && useMerge(len(urow), len(col)) {
-			kc.mergeTasks++
-			mergeIntersect(urow, col, kc)
-			continue
-		}
 		if !built {
-			direct := !opt.NoDirectHash && urow[len(urow)-1] <= mask
+			direct := !opt.NoDirectHash && urow[len(urow)-1] <= set.Mask()
 			set.Reset(direct)
 			for _, k := range urow {
 				set.Insert(k)
@@ -130,8 +84,7 @@ func kernelRow(a int32, task *csrBlock, u *csrBlock, l *cscBlock, set *hashset.S
 }
 
 // runKernel is the sequential driver: one compute step's triangles, counted
-// on the calling goroutine. With Options.NoAdaptiveIntersect set it is the
-// original single-threaded kernel, counters bit for bit.
+// on the calling goroutine.
 func runKernel(task *csrBlock, taskRows []int32, u *csrBlock, l *cscBlock, set *hashset.Set, opt Options, kc *kernelCounters) {
 	if !opt.NoDoublySparse {
 		for _, a := range taskRows {
@@ -276,7 +229,7 @@ func (kp *kernelPool) total() kernelCounters {
 
 // partitionLPT splits one step's task rows into one bucket per worker,
 // balanced by the A⁺-weight Σ over the row's tasks of min(|U-row|, |L-col|)
-// — the work an intersection actually performs, whichever routine runs it.
+// — a size proxy for the row's intersection work.
 // Rows are placed longest-processing-time first onto the least-loaded
 // bucket; ties break deterministically (heavier weight, then lower row id),
 // though correctness never depends on placement: every counter is a pure sum

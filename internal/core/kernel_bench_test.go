@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"tc2d/internal/hashset"
@@ -9,9 +8,7 @@ import (
 
 // benchBlocks builds one synthetic task row with nCols tasks: a U row of lu
 // keys striding by 2 and L columns of lc keys striding by 3, so roughly a
-// sixth of the shorter list intersects. Balanced shapes (lu ≈ lc) are the
-// merge regime of the adaptive kernel; skewed shapes (lu >> lc) the hash
-// regime.
+// sixth of the shorter list intersects.
 func benchBlocks(nCols, lu, lc int) (task, u csrBlock, l cscBlock) {
 	var taskPairs, uPairs, lPairs []int32
 	for b := 0; b < nCols; b++ {
@@ -33,11 +30,10 @@ func benchBlocks(nCols, lu, lc int) (task, u csrBlock, l cscBlock) {
 }
 
 // BenchmarkIntersect measures the kernel's inner loop — one task row's worth
-// of (U-row × L-column) intersections — per routine (hash-only, sorted
-// merge, adaptive selection) and per row shape (balanced lists, which the
-// adaptive kernel sends to the merge scan, and skewed lists, which it keeps
-// on the hash probe). probes/op and mergeops/op report the per-iteration
-// counter streams, which are deterministic for a fixed shape.
+// of (U-row × L-column) hash intersections — per row shape: balanced lists
+// and skewed ones (a long hashed U row probed by short L columns). probes/op
+// reports the per-iteration probe stream, which is deterministic for a
+// fixed shape.
 func BenchmarkIntersect(b *testing.B) {
 	shapes := []struct {
 		name   string
@@ -50,38 +46,13 @@ func BenchmarkIntersect(b *testing.B) {
 	for _, sh := range shapes {
 		task, u, l := benchBlocks(nCols, sh.lu, sh.lc)
 		set := hashset.New(8 * sh.lu)
-		runRow := func(opt Options, kc *kernelCounters) {
-			kernelRow(0, &task, &u, &l, set, opt, kc)
-		}
-		b.Run(fmt.Sprintf("hash/%s", sh.name), func(b *testing.B) {
+		b.Run(sh.name, func(b *testing.B) {
 			var kc kernelCounters
 			for i := 0; i < b.N; i++ {
-				runRow(Options{NoAdaptiveIntersect: true}, &kc)
+				kernelRow(0, &task, &u, &l, set, Options{}, &kc)
 			}
-			reportKernelMetrics(b, kc)
-		})
-		b.Run(fmt.Sprintf("merge/%s", sh.name), func(b *testing.B) {
-			urow := u.row(0)
-			var kc kernelCounters
-			for i := 0; i < b.N; i++ {
-				for bb := int32(0); bb < int32(nCols); bb++ {
-					mergeIntersect(urow, l.col(bb), &kc)
-				}
-			}
-			reportKernelMetrics(b, kc)
-		})
-		b.Run(fmt.Sprintf("adaptive/%s", sh.name), func(b *testing.B) {
-			var kc kernelCounters
-			for i := 0; i < b.N; i++ {
-				runRow(Options{}, &kc)
-			}
-			reportKernelMetrics(b, kc)
+			b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
+			b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
 		})
 	}
-}
-
-func reportKernelMetrics(b *testing.B, kc kernelCounters) {
-	b.ReportMetric(float64(kc.probes)/float64(b.N), "probes/op")
-	b.ReportMetric(float64(kc.mergeOps)/float64(b.N), "mergeops/op")
-	b.ReportMetric(float64(kc.triangles)/float64(b.N), "hits/op")
 }

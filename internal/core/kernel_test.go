@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
 	"tc2d/internal/rmat"
 	"tc2d/internal/seqtc"
@@ -13,84 +14,99 @@ import (
 // not divide typical row counts so buckets are uneven.
 var kernelThreadSchedule = []int{1, 2, 3, 7}
 
-// TestKernelThreadsDifferential is the exactness contract of the parallel
-// kernel: for every grid schedule (Cannon on a square rank count, SUMMA on
-// a non-square one) and both intersection modes, every kernel worker count
-// must reproduce the 1-worker run exactly — the triangle count AND the
-// instrumentation counters (probes, mapTasks, mergeTasks), which are pure
-// sums over (row, task) pairs and therefore partition-invariant. Across
-// modes the triangle count and mapTasks agree too (mapTasks counts every
-// intersected pair whichever routine ran it), while mergeTasks must be
-// zero exactly when adaptive selection is off.
+// killSwitchCombos returns every combination of the four §5.2 kill
+// switches, the fully optimized kernel first.
+func killSwitchCombos() []Options {
+	var out []Options
+	for m := 0; m < 16; m++ {
+		out = append(out, Options{
+			NoDoublySparse: m&1 != 0,
+			NoDirectHash:   m&2 != 0,
+			NoEarlyBreak:   m&4 != 0,
+			NoBlob:         m&8 != 0,
+		})
+	}
+	return out
+}
+
+// TestKernelThreadsDifferential is the exactness contract of the hash
+// kernel: for every §5.2 kill-switch combination, every kernel worker
+// count, both grid schedules (Cannon on a square rank count, SUMMA on a
+// non-square one) and both transports (in-process channels and loopback
+// TCP), each count must equal the sequential oracle, and the
+// instrumentation counters (probes, mapTasks) — pure sums over (row, task)
+// pairs, hence partition-invariant — must reproduce the 1-worker run of
+// the same combination. mapTasks is fixed by the decomposition, so it also
+// agrees across combinations.
 func TestKernelThreadsDifferential(t *testing.T) {
 	g := mustRMAT(t, rmat.G500, 8, 8, 5)
 	want := seqtc.Count(g)
-	for _, p := range []int{9, 6} { // 9 = 3×3 Cannon, 6 = SUMMA
-		count := func(opt Options) *Result {
-			if mpi.SquareSide(p) < 0 {
-				return countSUMMA(t, g, p, opt)
+	combos := killSwitchCombos()
+	for _, tcp := range []bool{false, true} {
+		for _, p := range []int{9, 6} { // 9 = 3×3 Cannon, 6 = SUMMA
+			var w *mpi.World
+			if tcp {
+				var err error
+				if w, err = mpi.NewTCPWorld(p, testCfg()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				w = mpi.NewWorld(p, testCfg())
 			}
-			return countVia(t, g, p, opt)
-		}
-		oracle := map[bool]*Result{}
-		for _, noAdaptive := range []bool{false, true} {
-			for _, threads := range kernelThreadSchedule {
-				res := count(Options{KernelThreads: threads, NoAdaptiveIntersect: noAdaptive})
-				if res.Triangles != want {
-					t.Fatalf("p=%d threads=%d noAdaptive=%v: %d triangles, want %d",
-						p, threads, noAdaptive, res.Triangles, want)
+			summa := mpi.SquareSide(p) < 0
+			preps := make([]*Prepared, p)
+			if _, err := w.Run(func(c *mpi.Comm) (any, error) {
+				in, err := dgraph.ScatterInput{Graph: g}.Build(c)
+				if err != nil {
+					return nil, err
 				}
-				if res.KernelThreads != threads {
-					t.Errorf("p=%d threads=%d: Result.KernelThreads=%d", p, threads, res.KernelThreads)
+				if summa {
+					preps[c.Rank()], err = PrepareSUMMA(c, in, Options{})
+				} else {
+					preps[c.Rank()], err = Prepare(c, in, Options{})
 				}
-				base, ok := oracle[noAdaptive]
-				if !ok {
-					oracle[noAdaptive] = res
-					if noAdaptive && res.MergeTasks != 0 {
-						t.Errorf("p=%d noAdaptive: MergeTasks=%d, want 0", p, res.MergeTasks)
+				return nil, err
+			}); err != nil {
+				w.Close()
+				t.Fatalf("tcp=%v p=%d prepare: %v", tcp, p, err)
+			}
+			var mapTasks int64 = -1
+			for _, combo := range combos {
+				var base *Result
+				for _, threads := range kernelThreadSchedule {
+					opt := combo
+					opt.KernelThreads = threads
+					results, err := w.Run(func(c *mpi.Comm) (any, error) {
+						return CountPrepared(c, preps[c.Rank()], opt)
+					})
+					if err != nil {
+						w.Close()
+						t.Fatalf("tcp=%v p=%d %+v: %v", tcp, p, opt, err)
 					}
-					continue
+					res := results[0].(*Result)
+					if res.Triangles != want {
+						t.Errorf("tcp=%v p=%d %+v: %d triangles, want %d", tcp, p, opt, res.Triangles, want)
+					}
+					if res.KernelThreads != threads {
+						t.Errorf("tcp=%v p=%d %+v: Result.KernelThreads=%d", tcp, p, opt, res.KernelThreads)
+					}
+					if base == nil {
+						base = res
+					} else if res.Probes != base.Probes || res.MapTasks != base.MapTasks {
+						t.Errorf("tcp=%v p=%d %+v: counters (probes=%d map=%d) != 1-thread (%d, %d)",
+							tcp, p, opt, res.Probes, res.MapTasks, base.Probes, base.MapTasks)
+					}
 				}
-				if res.Probes != base.Probes || res.MapTasks != base.MapTasks || res.MergeTasks != base.MergeTasks {
-					t.Errorf("p=%d threads=%d noAdaptive=%v: counters (probes=%d map=%d merge=%d) != 1-thread oracle (%d, %d, %d)",
-						p, threads, noAdaptive, res.Probes, res.MapTasks, res.MergeTasks,
-						base.Probes, base.MapTasks, base.MergeTasks)
+				if mapTasks < 0 {
+					mapTasks = base.MapTasks
+				} else if base.MapTasks != mapTasks {
+					t.Errorf("tcp=%v p=%d %+v: MapTasks=%d, want %d as with every other combination",
+						tcp, p, combo, base.MapTasks, mapTasks)
 				}
 			}
-		}
-		if a, h := oracle[false], oracle[true]; a.MapTasks != h.MapTasks {
-			t.Errorf("p=%d: adaptive MapTasks=%d != hash-only MapTasks=%d (must count every intersected pair)",
-				p, a.MapTasks, h.MapTasks)
-		} else if a.MergeTasks == 0 {
-			t.Errorf("p=%d: adaptive mode never took the merge path", p)
-		}
-	}
-}
-
-// TestKernelThreadsWithAblations checks that every §7.3 ablation toggle
-// composes with the parallel kernel: the triangle count is invariant, and
-// each toggled run's counters are identical at 1 and 3 workers.
-func TestKernelThreadsWithAblations(t *testing.T) {
-	g := mustRMAT(t, rmat.G500, 8, 8, 6)
-	want := seqtc.Count(g)
-	combos := []Options{
-		{NoDoublySparse: true},
-		{NoDirectHash: true},
-		{NoEarlyBreak: true},
-		{NoBlob: true},
-		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true, NoAdaptiveIntersect: true},
-	}
-	for i, opt := range combos {
-		opt.KernelThreads = 1
-		seq := countVia(t, g, 9, opt)
-		opt.KernelThreads = 3
-		par := countVia(t, g, 9, opt)
-		if seq.Triangles != want || par.Triangles != want {
-			t.Errorf("combo %d: triangles seq=%d par=%d, want %d", i, seq.Triangles, par.Triangles, want)
-		}
-		if par.Probes != seq.Probes || par.MapTasks != seq.MapTasks || par.MergeTasks != seq.MergeTasks {
-			t.Errorf("combo %d: 3-worker counters (probes=%d map=%d merge=%d) != sequential (%d, %d, %d)",
-				i, par.Probes, par.MapTasks, par.MergeTasks, seq.Probes, seq.MapTasks, seq.MergeTasks)
+			if err := w.Close(); err != nil {
+				t.Errorf("tcp=%v p=%d close: %v", tcp, p, err)
+			}
 		}
 	}
 }

@@ -64,12 +64,6 @@ type Options struct {
 	// sends each sparse-matrix array as a separate, element-wise encoded
 	// message (§5.2 "reducing overheads associated with communication").
 	NoBlob bool
-	// NoAdaptiveIntersect disables the per-(row, col) choice between the
-	// hash probe (TC-Hash, good for skewed pairs) and the sorted-merge scan
-	// (TC-Merge, cheaper when the two lists have comparable lengths) and
-	// always probes the hash set — the pre-adaptive kernel, bit-identical
-	// probe counters included.
-	NoAdaptiveIntersect bool
 	// TrackPerShift records per-shift kernel compute times (Table 3).
 	TrackPerShift bool
 
@@ -84,7 +78,7 @@ type Options struct {
 	KernelThreads int
 
 	// Metrics, when non-nil, receives kernel accounting from every count:
-	// each rank adds its local probe/task/merge counters (so the registry
+	// each rank adds its local probe/task counters (so the registry
 	// totals are the global sums), per-compute-step counts, and the
 	// LPT bucket load imbalance of each parallel kernel step. Nil disables
 	// all of it; both fields are pointers so Options stays comparable.
@@ -127,16 +121,8 @@ type Result struct {
 	// MapTasks is the global number of (task, shift) pairs that resulted
 	// in a set intersection (Table 4's redundant-work metric). The pair
 	// structure is fixed by the decomposition, so the number is identical
-	// whichever intersection routine each pair used.
+	// at any thread count.
 	MapTasks int64
-	// MergeTasks is the number of those pairs the adaptive kernel
-	// intersected with the sorted-merge scan instead of the hash probe
-	// (0 when Options.NoAdaptiveIntersect is set). MapTasks - MergeTasks
-	// pairs took the hash path.
-	MergeTasks int64
-	// MergeOps is the global number of pointer advances the merge-path
-	// intersections performed — the merge-side counterpart of Probes.
-	MergeOps int64
 	// PreOps is the global number of adjacency-entry operations performed
 	// during preprocessing (the ppt operation count of Figure 2).
 	PreOps int64

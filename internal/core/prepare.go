@@ -61,9 +61,8 @@ type Prepared struct {
 	// the Options given to Prepare/PrepareSUMMAGrid and overridable via
 	// SetKernelConfig (the cluster layer applies its Options at build,
 	// restore and rebuild time); the zero value resolves to the host
-	// default thread count with adaptive intersection on.
-	kernelThreads    int
-	kernelNoAdaptive bool
+	// default thread count.
+	kernelThreads int
 }
 
 // N returns the global vertex count.
@@ -91,15 +90,13 @@ func (p *Prepared) CommFracPre() float64 { return p.fracPre }
 // Enumeration returns the enumeration rule the task block was built for.
 func (p *Prepared) Enumeration() Enumeration { return p.enum }
 
-// SetKernelConfig stores the resident kernel defaults: the worker count
-// (Options.KernelThreads semantics — 0 = min(GOMAXPROCS, NumCPU)) and
-// whether adaptive merge/hash intersection is disabled. The write path's
-// delta passes read these; counting queries carry their own Options. Call
-// only while no epoch is running over the state (the same exclusivity
-// SetLabels needs).
-func (p *Prepared) SetKernelConfig(threads int, noAdaptive bool) {
+// SetKernelConfig stores the resident kernel default: the worker count
+// (Options.KernelThreads semantics — 0 = min(GOMAXPROCS, NumCPU)). The
+// write path's delta passes read it; counting queries carry their own
+// Options. Call only while no epoch is running over the state (the same
+// exclusivity SetLabels needs).
+func (p *Prepared) SetKernelConfig(threads int) {
 	p.kernelThreads = threads
-	p.kernelNoAdaptive = noAdaptive
 }
 
 // KernelWorkers returns the resolved resident worker count (≥ 1).
@@ -107,17 +104,12 @@ func (p *Prepared) KernelWorkers() int {
 	return Options{KernelThreads: p.kernelThreads}.kernelWorkers()
 }
 
-// KernelConfig returns the raw resident kernel defaults as stored — the
-// unresolved thread count (0 = host default) and the adaptive-intersection
-// kill switch — so a rebuild can carry the configuration over without
-// pinning a resolved value.
-func (p *Prepared) KernelConfig() (threads int, noAdaptive bool) {
-	return p.kernelThreads, p.kernelNoAdaptive
+// KernelConfig returns the raw resident thread count as stored (0 = host
+// default), so a rebuild can carry the configuration over without pinning
+// a resolved value.
+func (p *Prepared) KernelConfig() int {
+	return p.kernelThreads
 }
-
-// KernelNoAdaptive reports whether the resident config disables adaptive
-// merge/hash intersection.
-func (p *Prepared) KernelNoAdaptive() bool { return p.kernelNoAdaptive }
 
 func checkInput(in *dgraph.Dist1D) error {
 	if in == nil {
@@ -172,7 +164,7 @@ func Prepare(c *mpi.Comm, in *dgraph.Dist1D, opt Options) (*Prepared, error) {
 		return nil, err
 	}
 	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N,
-		kernelThreads: opt.KernelThreads, kernelNoAdaptive: opt.NoAdaptiveIntersect}
+		kernelThreads: opt.KernelThreads}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -204,7 +196,7 @@ func PrepareSUMMAGrid(c *mpi.Comm, in *dgraph.Dist1D, qr, qc int, opt Options) (
 	}
 	L := lcm(qr, qc)
 	prep := &Prepared{enum: opt.Enumeration, n: in.N, baseN: in.N, qr: qr, qc: qc, lc: L,
-		kernelThreads: opt.KernelThreads, kernelNoAdaptive: opt.NoAdaptiveIntersect}
+		kernelThreads: opt.KernelThreads}
 	localDirected := int64(len(in.Adj))
 	wedgesLocal := localWedges(in)
 
@@ -299,18 +291,14 @@ func CountPrepared(c *mpi.Comm, prep *Prepared, opt Options) (*Result, error) {
 	if reg := opt.Metrics; reg != nil {
 		reg.Counter("tc_kernel_probes_total", "Hash-map lookups performed by the counting kernel.").Add(float64(kc.probes))
 		reg.Counter("tc_kernel_map_tasks_total", "(task, shift) pairs that ran a set intersection.").Add(float64(kc.mapTasks))
-		reg.Counter("tc_kernel_merge_tasks_total", "Intersection pairs the adaptive kernel routed to the sorted-merge scan.").Add(float64(kc.mergeTasks))
-		reg.Counter("tc_kernel_merge_ops_total", "Pointer advances performed by merge-path intersections.").Add(float64(kc.mergeOps))
 	}
 
 	rs := rankSpan.StartChild("reduce")
-	sums := c.AllreduceInt64s([]int64{kc.triangles, kc.probes, kc.mapTasks, kc.mergeTasks, kc.mergeOps}, mpi.OpSum)
+	sums := c.AllreduceInt64s([]int64{kc.triangles, kc.probes, kc.mapTasks}, mpi.OpSum)
 	rs.End()
 	res.Triangles = sums[0]
 	res.Probes = sums[1]
 	res.MapTasks = sums[2]
-	res.MergeTasks = sums[3]
-	res.MergeOps = sums[4]
 	res.KernelThreads = opt.kernelWorkers()
 
 	res.CountTime = t2 - t1

@@ -207,11 +207,11 @@ func TestKernelCraftedBlocks(t *testing.T) {
 	u := csrBlock{rows: 1, xadj: []int32{0, 3}, adj: []int32{2, 5, 9}}
 	l := cscBlock{cols: 1, xadj: []int32{0, 4}, adj: []int32{1, 5, 9, 11}}
 	for _, opt := range []Options{
-		{NoAdaptiveIntersect: true},
-		{NoAdaptiveIntersect: true, NoDoublySparse: true},
-		{NoAdaptiveIntersect: true, NoDirectHash: true},
-		{NoAdaptiveIntersect: true, NoEarlyBreak: true},
-		{NoAdaptiveIntersect: true, NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
+		{},
+		{NoDoublySparse: true},
+		{NoDirectHash: true},
+		{NoEarlyBreak: true},
+		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true},
 	} {
 		set := hashsetNewForTest()
 		var kc kernelCounters
@@ -225,25 +225,12 @@ func TestKernelCraftedBlocks(t *testing.T) {
 		if kc.probes < 2 {
 			t.Errorf("opt %+v: %d probes", opt, kc.probes)
 		}
-		if kc.mergeTasks != 0 {
-			t.Errorf("opt %+v: %d merge tasks with adaptive disabled", opt, kc.mergeTasks)
-		}
-	}
-	// The adaptive kernel routes this balanced pair (3 vs 4 entries, within
-	// mergeRatio) to the sorted-merge path: same triangles, no hash probes.
-	var adaptive kernelCounters
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{}, &adaptive)
-	if adaptive.triangles != 2 || adaptive.mapTasks != 1 {
-		t.Errorf("adaptive: %+v", adaptive)
-	}
-	if adaptive.mergeTasks != 1 || adaptive.probes != 0 || adaptive.mergeOps == 0 {
-		t.Errorf("adaptive did not take the merge path: %+v", adaptive)
 	}
 	// Early break must probe fewer entries than the full scan: L column
 	// entry 1 < min(U row)=2 is skipped by the optimized path.
 	var withBreak, without kernelCounters
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{NoAdaptiveIntersect: true}, &withBreak)
-	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{NoAdaptiveIntersect: true, NoEarlyBreak: true}, &without)
+	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{}, &withBreak)
+	runKernel(&task, []int32{0}, &u, &l, hashsetNewForTest(), Options{NoEarlyBreak: true}, &without)
 	if withBreak.probes >= without.probes {
 		t.Errorf("early break did not reduce probes: %d vs %d", withBreak.probes, without.probes)
 	}

@@ -399,11 +399,6 @@ func Apply(c *mpi.Comm, prep *core.Prepared, batch []Update) (*Result, error) {
 	return r, nil
 }
 
-// mergeRatio mirrors the core kernel's adaptive threshold: pairs whose row
-// lengths are within this factor of each other are intersected with a
-// sorted-merge scan instead of the hash probe.
-const mergeRatio = 4
-
 // deltaPass counts the discoveries of triangles through each marked edge
 // against the current resident graph, bucketed by how many of the other
 // two edges are themselves marked (0, 1 or 2). The marked list must be
@@ -412,12 +407,10 @@ const mergeRatio = 4
 // For marked edge (a, b) and each grid column class, the rank holding
 // row a in that class ships the row to the rank holding row b (same grid
 // column, grid row b mod qr), which intersects the two rows with the
-// kernel's machinery — the hash probe for skewed pairs, a sorted-merge
-// scan for balanced ones unless the resident kernel config disables
-// adaptivity — third vertices are partitioned by column residue, so the
-// union over classes covers each one exactly once. Rows whose endpoints
-// share a grid row intersect locally; all cross-row traffic travels
-// through one sparse all-to-all.
+// kernel's hash probe; third vertices are partitioned by column residue,
+// so the union over classes covers each one exactly once. Rows whose
+// endpoints share a grid row intersect locally; all cross-row traffic
+// travels through one sparse all-to-all.
 //
 // Like the count kernel, the pass fans its intersection items across the
 // resident worker count (Prepared.KernelWorkers), balanced by
@@ -425,7 +418,7 @@ const mergeRatio = 4
 // private counters summed in worker order afterwards, and both the
 // discovery buckets and the probe count are pure sums over items, so the
 // totals are exact at any thread count. The second return value counts
-// intersection operations (hash probes plus merge-scan advances).
+// hash probes.
 func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y int) ([3]int64, int64) {
 	var cnt [3]int64
 	var probes int64
@@ -451,7 +444,6 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 	})
 	got := c.AlltoallvSparseInt32(send)
 	workers := prep.KernelWorkers()
-	adaptive := !prep.KernelNoAdaptive()
 	c.Compute(func() {
 		// Collect this rank's intersection items: locally intersectable
 		// marked edges plus the rows shipped in for cross-row edges.
@@ -503,23 +495,6 @@ func deltaPass(c *mpi.Comm, prep *core.Prepared, marked [][2]int32, qr, qc, x, y
 					o++
 				}
 				ws.cnt[o]++
-			}
-			if adaptive && len(rowA) <= mergeRatio*len(rowB) && len(rowB) <= mergeRatio*len(rowA) {
-				i, j := 0, 0
-				for i < len(rowA) && j < len(rowB) {
-					ws.probes++
-					switch {
-					case rowA[i] == rowB[j]:
-						hit(rowA[i])
-						i++
-						j++
-					case rowA[i] < rowB[j]:
-						i++
-					default:
-						j++
-					}
-				}
-				return
 			}
 			set.Grow(8 * len(rowA))
 			// Same direct-mode rule as the kernel: collision-free single-AND

@@ -59,7 +59,7 @@ func TestKernelSizingSurvivesGrowth(t *testing.T) {
 			t.Fatalf("%s recount: %v", stage, err)
 		}
 		seq, err := w.Run(func(c *mpi.Comm) (any, error) {
-			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 1, NoAdaptiveIntersect: true})
+			return core.CountPrepared(c, preps[c.Rank()], core.Options{KernelThreads: 1})
 		})
 		if err != nil {
 			t.Fatalf("%s sequential recount: %v", stage, err)

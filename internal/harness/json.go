@@ -90,23 +90,21 @@ type jsonGrowthRun struct {
 }
 
 // jsonKernelRun is one machine-readable measurement of the intra-rank
-// kernel scenario (schema v5): one counting epoch at one kernel worker
-// count and one intersection mode over a fixed resident state. Wall
+// kernel scenario (schema v5; v9 dropped the per-mode fields): one counting
+// epoch at one kernel worker count over a fixed resident state. Wall
 // seconds are real time — kernel threading shrinks wall time, not modeled
-// virtual time — and the counters are exactness evidence: within a mode
-// they must not vary with the thread count.
+// virtual time — and the counters are exactness evidence: they must not
+// vary with the thread count.
 type jsonKernelRun struct {
-	Dataset    string  `json:"dataset"`
-	Ranks      int     `json:"ranks"`
-	Threads    int     `json:"threads"`
-	Adaptive   bool    `json:"adaptive"`
-	Triangles  int64   `json:"triangles"`
-	CountSec   float64 `json:"count_s"`
-	WallSec    float64 `json:"wall_s"`
-	Speedup    float64 `json:"speedup"`
-	Probes     int64   `json:"probes"`
-	MapTasks   int64   `json:"map_tasks"`
-	MergeTasks int64   `json:"merge_tasks"`
+	Dataset   string  `json:"dataset"`
+	Ranks     int     `json:"ranks"`
+	Threads   int     `json:"threads"`
+	Triangles int64   `json:"triangles"`
+	CountSec  float64 `json:"count_s"`
+	WallSec   float64 `json:"wall_s"`
+	Speedup   float64 `json:"speedup"`
+	Probes    int64   `json:"probes"`
+	MapTasks  int64   `json:"map_tasks"`
 }
 
 // jsonRuntimeStat is one scenario's runtime self-observation (schema v6):
@@ -182,9 +180,10 @@ type jsonReplicaRun struct {
 // kernel sweep); v6 added runtime (per-scenario self-observation of the
 // benchmark process: peak heap, GC pauses, registry deltas — absent or
 // empty when nothing was observed); v7 added maintenance_runs (the
-// churn-proportional rebuild/snapshot scenario); v8 adds replica_runs (the
-// WAL-shipping read-replica scenario). Readers that ignore unknown fields
-// still parse older sections.
+// churn-proportional rebuild/snapshot scenario); v8 added replica_runs (the
+// WAL-shipping read-replica scenario); v9 drops kernel_runs' per-mode
+// fields (the kernel has one intersection routine). Readers that ignore
+// unknown fields still parse older sections.
 type jsonDoc struct {
 	SchemaVersion int       `json:"schema_version"`
 	Generated     time.Time `json:"generated"`
@@ -212,7 +211,7 @@ type jsonDoc struct {
 // that ran.
 func WriteBenchJSON(w io.Writer, rows []ScalingRow, upd []UpdateRow, conc []ConcurrentRow, growth []GrowthRow, kernel []KernelRow, maint []MaintenanceRow, repl []ReplicaRow, rt []RuntimeStat, cfg Config) error {
 	var doc jsonDoc
-	doc.SchemaVersion = 8
+	doc.SchemaVersion = 9
 	doc.Generated = time.Now().UTC()
 	m := cfg.model()
 	doc.CostModel.Alpha = m.Alpha
@@ -296,17 +295,15 @@ func WriteBenchJSON(w io.Writer, rows []ScalingRow, upd []UpdateRow, conc []Conc
 	}
 	for _, r := range kernel {
 		doc.KernelRuns = append(doc.KernelRuns, jsonKernelRun{
-			Dataset:    r.Dataset,
-			Ranks:      r.Ranks,
-			Threads:    r.Threads,
-			Adaptive:   r.Adaptive,
-			Triangles:  r.Triangles,
-			CountSec:   r.CountSec,
-			WallSec:    r.WallSec,
-			Speedup:    r.Speedup,
-			Probes:     r.Probes,
-			MapTasks:   r.MapTasks,
-			MergeTasks: r.MergeTasks,
+			Dataset:   r.Dataset,
+			Ranks:     r.Ranks,
+			Threads:   r.Threads,
+			Triangles: r.Triangles,
+			CountSec:  r.CountSec,
+			WallSec:   r.WallSec,
+			Speedup:   r.Speedup,
+			Probes:    r.Probes,
+			MapTasks:  r.MapTasks,
 		})
 	}
 	for _, r := range maint {

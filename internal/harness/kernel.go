@@ -11,25 +11,22 @@ import (
 )
 
 // KernelRow is one measured point of the intra-rank kernel scenario: a
-// counting epoch over one resident state, at one kernel worker count and
-// one intersection mode. CountSec is the modeled parallel (virtual) time;
-// WallSec is real seconds of the epoch, the quantity kernel threading
-// actually shrinks; Speedup is the wall speedup against the 1-thread point
-// of the same mode. The counters prove exactness: Triangles, Probes,
-// MapTasks and MergeTasks must be identical across thread counts within a
-// mode, and Triangles across modes too.
+// counting epoch over one resident state at one kernel worker count.
+// CountSec is the modeled parallel (virtual) time; WallSec is real seconds
+// of the epoch, the quantity kernel threading actually shrinks; Speedup is
+// the wall speedup against the 1-thread point. The counters prove
+// exactness: Triangles, Probes and MapTasks must be identical across thread
+// counts.
 type KernelRow struct {
-	Dataset    string
-	Ranks      int
-	Threads    int
-	Adaptive   bool
-	Triangles  int64
-	CountSec   float64
-	WallSec    float64
-	Speedup    float64
-	Probes     int64
-	MapTasks   int64
-	MergeTasks int64
+	Dataset   string
+	Ranks     int
+	Threads   int
+	Triangles int64
+	CountSec  float64
+	WallSec   float64
+	Speedup   float64
+	Probes    int64
+	MapTasks  int64
 }
 
 // KernelThreadSchedule is the default worker-count sweep: powers of two
@@ -50,11 +47,10 @@ func KernelThreadSchedule() []int {
 
 // RunKernel measures the intra-rank parallel kernel: build the resident
 // state for spec once on p ranks, then sweep counting epochs over every
-// (intersection mode, worker count) pair — adaptive merge/hash selection
-// versus hash-only, each at every entry of threads. Each point repeats per
-// Config.Repeats keeping the fastest wall time. The sweep fails loudly if
-// any point disagrees on triangles, or if probe/task counters drift across
-// thread counts within a mode — the exactness contract of the kernel.
+// worker count in threads. Each point repeats per Config.Repeats keeping the
+// fastest wall time. The sweep fails loudly if any point disagrees on
+// triangles, or if probe/task counters drift across thread counts — the
+// exactness contract of the kernel.
 func RunKernel(spec Spec, p int, threads []int, cfg Config) ([]KernelRow, error) {
 	if len(threads) == 0 {
 		threads = KernelThreadSchedule()
@@ -85,70 +81,57 @@ func RunKernel(spec Spec, p int, threads []int, cfg Config) ([]KernelRow, error)
 	}
 
 	var rows []KernelRow
-	var triangles int64
-	haveTri := false
-	for _, adaptive := range []bool{true, false} {
-		var base *KernelRow
-		for _, t := range threads {
-			opt := cfg.Options
-			opt.KernelThreads = t
-			opt.NoAdaptiveIntersect = !adaptive || cfg.Options.NoAdaptiveIntersect
-			var best *KernelRow
-			for rep := 0; rep < cfg.repeats(); rep++ {
-				t0 := time.Now()
-				results, err := w.Run(func(c *mpi.Comm) (any, error) {
-					return core.CountPrepared(c, preps[c.Rank()], opt)
-				})
-				wall := time.Since(t0).Seconds()
-				if err != nil {
-					return nil, fail(err)
-				}
-				res := results[0].(*core.Result)
-				row := &KernelRow{
-					Dataset: spec.Name, Ranks: p, Threads: t, Adaptive: adaptive,
-					Triangles: res.Triangles, CountSec: res.CountTime, WallSec: wall,
-					Probes: res.Probes, MapTasks: res.MapTasks, MergeTasks: res.MergeTasks,
-				}
-				if best == nil || row.WallSec < best.WallSec {
-					best = row
-				}
+	var base *KernelRow
+	for _, t := range threads {
+		opt := cfg.Options
+		opt.KernelThreads = t
+		var best *KernelRow
+		for rep := 0; rep < cfg.repeats(); rep++ {
+			t0 := time.Now()
+			results, err := w.Run(func(c *mpi.Comm) (any, error) {
+				return core.CountPrepared(c, preps[c.Rank()], opt)
+			})
+			wall := time.Since(t0).Seconds()
+			if err != nil {
+				return nil, fail(err)
 			}
-			if !haveTri {
-				triangles, haveTri = best.Triangles, true
-			} else if best.Triangles != triangles {
-				return nil, fail(fmt.Errorf("threads=%d adaptive=%v counted %d triangles, expected %d",
-					t, adaptive, best.Triangles, triangles))
+			res := results[0].(*core.Result)
+			row := &KernelRow{
+				Dataset: spec.Name, Ranks: p, Threads: t,
+				Triangles: res.Triangles, CountSec: res.CountTime, WallSec: wall,
+				Probes: res.Probes, MapTasks: res.MapTasks,
 			}
-			if base == nil {
-				base = best
-			} else if best.Probes != base.Probes || best.MapTasks != base.MapTasks || best.MergeTasks != base.MergeTasks {
-				return nil, fail(fmt.Errorf("threads=%d adaptive=%v counters (probes=%d map=%d merge=%d) drifted from 1-thread (%d, %d, %d)",
-					t, adaptive, best.Probes, best.MapTasks, best.MergeTasks, base.Probes, base.MapTasks, base.MergeTasks))
+			if best == nil || row.WallSec < best.WallSec {
+				best = row
 			}
-			if best.WallSec > 0 {
-				best.Speedup = base.WallSec / best.WallSec
-			}
-			rows = append(rows, *best)
 		}
+		if base == nil {
+			base = best
+		} else if best.Triangles != base.Triangles {
+			return nil, fail(fmt.Errorf("threads=%d counted %d triangles, expected %d",
+				t, best.Triangles, base.Triangles))
+		} else if best.Probes != base.Probes || best.MapTasks != base.MapTasks {
+			return nil, fail(fmt.Errorf("threads=%d counters (probes=%d map=%d) drifted from 1-thread (%d, %d)",
+				t, best.Probes, best.MapTasks, base.Probes, base.MapTasks))
+		}
+		if best.WallSec > 0 {
+			best.Speedup = base.WallSec / best.WallSec
+		}
+		rows = append(rows, *best)
 	}
 	return rows, nil
 }
 
 // TableKernel prints the kernel sweep: wall time and speedup per worker
-// count for the adaptive and hash-only intersection modes, with the
-// merge/hash task split and the probe counts that prove exactness.
+// count, with the probe and task counts that prove exactness.
 func TableKernel(w io.Writer, rows []KernelRow) error {
-	fprintf(w, "Intra-rank kernel — worker count × intersection mode (wall seconds)\n")
-	fprintf(w, "%-22s %6s %8s %9s %10s %8s %12s %12s %12s\n",
-		"dataset", "ranks", "threads", "mode", "wall(s)", "speedup", "probes", "map", "merge")
+	fprintf(w, "Intra-rank kernel — worker count (wall seconds)\n")
+	fprintf(w, "%-22s %6s %8s %10s %8s %12s %12s\n",
+		"dataset", "ranks", "threads", "wall(s)", "speedup", "probes", "map")
 	for _, r := range rows {
-		mode := "hash"
-		if r.Adaptive {
-			mode = "adaptive"
-		}
-		fprintf(w, "%-22s %6d %8d %9s %10s %7.2fx %12d %12d %12d\n",
-			r.Dataset, r.Ranks, r.Threads, mode, fmtSecs(r.WallSec), r.Speedup,
-			r.Probes, r.MapTasks, r.MergeTasks)
+		fprintf(w, "%-22s %6d %8d %10s %7.2fx %12d %12d\n",
+			r.Dataset, r.Ranks, r.Threads, fmtSecs(r.WallSec), r.Speedup,
+			r.Probes, r.MapTasks)
 	}
 	return nil
 }

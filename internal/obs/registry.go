@@ -396,6 +396,10 @@ func (r *Registry) Expose(w io.Writer) (series int, err error) {
 				writeSeries(&b, f.name, key, "", s.Value())
 				series++
 			case *Histogram:
+				// One pass over the bucket counters: _count is the +Inf
+				// cumulative total of that same pass, never a second read of
+				// s.count, so a concurrent Observe cannot tear +Inf from
+				// _count.
 				var cum int64
 				for i, bound := range s.bounds {
 					cum += s.counts[i].Load()
@@ -405,7 +409,7 @@ func (r *Registry) Expose(w io.Writer) (series int, err error) {
 				cum += s.counts[len(s.bounds)].Load()
 				writeSeries(&b, f.name+"_bucket", key, `le="+Inf"`, float64(cum))
 				writeSeries(&b, f.name+"_sum", key, "", s.Sum())
-				writeSeries(&b, f.name+"_count", key, "", float64(s.count.Load()))
+				writeSeries(&b, f.name+"_count", key, "", float64(cum))
 				series += 3
 			}
 		}

@@ -7,8 +7,7 @@ import (
 
 // End-to-end contract of the intra-rank parallel kernel: any KernelThreads
 // value must reproduce the sequential count and counters exactly, across
-// grid schedules, transports, intersection modes, and the delta-update
-// write path.
+// grid schedules, transports, and the delta-update write path.
 
 func TestKernelThreadsEndToEnd(t *testing.T) {
 	g, err := GenerateRMAT(G500, 9, 8, 77)
@@ -32,10 +31,10 @@ func TestKernelThreadsEndToEnd(t *testing.T) {
 					oracle = res
 					continue
 				}
-				if res.Probes != oracle.Probes || res.MapTasks != oracle.MapTasks || res.MergeTasks != oracle.MergeTasks {
-					t.Errorf("%v ranks=%d threads=%d: counters (probes=%d map=%d merge=%d) != 1-thread (%d, %d, %d)",
-						transport, ranks, threads, res.Probes, res.MapTasks, res.MergeTasks,
-						oracle.Probes, oracle.MapTasks, oracle.MergeTasks)
+				if res.Probes != oracle.Probes || res.MapTasks != oracle.MapTasks {
+					t.Errorf("%v ranks=%d threads=%d: counters (probes=%d map=%d) != 1-thread (%d, %d)",
+						transport, ranks, threads, res.Probes, res.MapTasks,
+						oracle.Probes, oracle.MapTasks)
 				}
 			}
 		}
@@ -61,9 +60,9 @@ func TestKernelThreadsValidation(t *testing.T) {
 }
 
 // TestClusterKernelConfig checks the cluster surface: the standing kernel
-// config resolves query defaults, per-query overrides compose (a query can
-// disable adaptive selection but not re-enable it), and Info accumulates
-// the merge/hash task split of completed epochs.
+// thread count resolves query defaults, a per-query override wins for its
+// epoch without changing counters, and Info accumulates the intersection
+// pairs of completed epochs.
 func TestClusterKernelConfig(t *testing.T) {
 	g := testClusterGraph(t)
 	want := CountSequential(g)
@@ -75,61 +74,38 @@ func TestClusterKernelConfig(t *testing.T) {
 	if got := cl.Info().KernelThreads; got != 3 {
 		t.Errorf("Info.KernelThreads=%d, want 3", got)
 	}
-	adaptive, err := cl.Count(QueryOptions{})
+	def, err := cl.Count(QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adaptive.Triangles != want {
-		t.Errorf("adaptive query: %d triangles, want %d", adaptive.Triangles, want)
+	if def.Triangles != want {
+		t.Errorf("default query: %d triangles, want %d", def.Triangles, want)
 	}
-	if adaptive.KernelThreads != 3 {
-		t.Errorf("query inherited KernelThreads=%d, want the cluster's 3", adaptive.KernelThreads)
+	if def.KernelThreads != 3 {
+		t.Errorf("query inherited KernelThreads=%d, want the cluster's 3", def.KernelThreads)
 	}
-	if adaptive.MergeTasks == 0 {
-		t.Error("adaptive query took no merge path on an RMAT graph")
-	}
-	hashOnly, err := cl.Count(QueryOptions{NoAdaptiveIntersect: true, KernelThreads: 1})
+	one, err := cl.Count(QueryOptions{KernelThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashOnly.Triangles != want {
-		t.Errorf("hash-only query: %d triangles, want %d", hashOnly.Triangles, want)
+	if one.Triangles != want {
+		t.Errorf("1-thread query: %d triangles, want %d", one.Triangles, want)
 	}
-	if hashOnly.MergeTasks != 0 {
-		t.Errorf("NoAdaptiveIntersect query reported MergeTasks=%d", hashOnly.MergeTasks)
+	if one.KernelThreads != 1 {
+		t.Errorf("per-query override gave KernelThreads=%d, want 1", one.KernelThreads)
 	}
-	if hashOnly.KernelThreads != 1 {
-		t.Errorf("per-query override gave KernelThreads=%d, want 1", hashOnly.KernelThreads)
+	if one.Probes != def.Probes || one.MapTasks != def.MapTasks {
+		t.Errorf("1-thread counters (probes=%d map=%d) != 3-thread (%d, %d)",
+			one.Probes, one.MapTasks, def.Probes, def.MapTasks)
 	}
-	if hashOnly.MapTasks != adaptive.MapTasks {
-		t.Errorf("MapTasks %d (hash) != %d (adaptive): must count every intersected pair", hashOnly.MapTasks, adaptive.MapTasks)
-	}
-	info := cl.Info()
-	if wantMap := adaptive.MapTasks + hashOnly.MapTasks; info.MapTasks != wantMap {
-		t.Errorf("Info.MapTasks=%d, want %d accumulated over both epochs", info.MapTasks, wantMap)
-	}
-	if info.MergeTasks != adaptive.MergeTasks {
-		t.Errorf("Info.MergeTasks=%d, want %d", info.MergeTasks, adaptive.MergeTasks)
-	}
-
-	// A cluster built hash-only cannot be re-enabled per query.
-	hcl, err := NewCluster(g, Options{Ranks: 4, NoAdaptiveIntersect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hcl.Close()
-	res, err := hcl.Count(QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MergeTasks != 0 {
-		t.Errorf("hash-only cluster served an adaptive epoch (MergeTasks=%d)", res.MergeTasks)
+	if wantMap := def.MapTasks + one.MapTasks; cl.Info().MapTasks != wantMap {
+		t.Errorf("Info.MapTasks=%d, want %d accumulated over both epochs", cl.Info().MapTasks, wantMap)
 	}
 }
 
 // TestKernelThreadsDeltaStream is the write-path differential: the same
-// update stream applied on a multi-threaded adaptive cluster and on a
-// single-threaded hash-only cluster must maintain identical triangle
+// update stream applied on a multi-threaded cluster and on a
+// single-threaded one must maintain identical triangle counts and probe
 // counts batch for batch, and agree with a full recount at the end.
 func TestKernelThreadsDeltaStream(t *testing.T) {
 	g := testClusterGraph(t)
@@ -138,7 +114,7 @@ func TestKernelThreadsDeltaStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	seq, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 1, NoAdaptiveIntersect: true})
+	seq, err := NewCluster(g, Options{Ranks: 4, KernelThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +146,9 @@ func TestKernelThreadsDeltaStream(t *testing.T) {
 		if pres.Triangles != sres.Triangles || pres.DeltaTriangles != sres.DeltaTriangles {
 			t.Fatalf("batch %d: parallel Δ=%d total=%d, sequential Δ=%d total=%d",
 				b, pres.DeltaTriangles, pres.Triangles, sres.DeltaTriangles, sres.Triangles)
+		}
+		if pres.Probes != sres.Probes {
+			t.Errorf("batch %d: parallel probes=%d != sequential %d", b, pres.Probes, sres.Probes)
 		}
 	}
 	pcount, err := par.Count(QueryOptions{})

@@ -761,7 +761,7 @@ func loadChain(dir string, m *snapshot.Manifest) ([]*snapshot.Manifest, error) {
 // one chain member for one rank — disk for OpenCluster, the primary's HTTP
 // surface for a follower bootstrap. track enables dirty-row tracking for
 // clusters that will write delta snapshots of their own (followers don't).
-func decodeChain(world *mpi.World, chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), kthreads int, noAdaptive, track bool) ([]*core.Prepared, error) {
+func decodeChain(world *mpi.World, chain []*snapshot.Manifest, fetch func(m *snapshot.Manifest, rank int) ([]byte, error), kthreads int, track bool) ([]*core.Prepared, error) {
 	m := chain[len(chain)-1]
 	prep := make([]*core.Prepared, m.Ranks)
 	_, err := world.Run(func(c *mpi.Comm) (any, error) {
@@ -791,7 +791,7 @@ func decodeChain(world *mpi.World, chain []*snapshot.Manifest, fetch func(m *sna
 		if track {
 			pr.EnableSnapshotTracking()
 		}
-		pr.SetKernelConfig(kthreads, noAdaptive)
+		pr.SetKernelConfig(kthreads)
 		prep[c.Rank()] = pr
 		return nil, nil
 	})
@@ -829,7 +829,7 @@ func openFromChain(dir string, chain []*snapshot.Manifest, opt Options, frac, sn
 	}
 	prep, err := decodeChain(world, chain, func(cm *snapshot.Manifest, rank int) ([]byte, error) {
 		return snapshot.ReadRank(dir, cm, rank)
-	}, kthreads, opt.NoAdaptiveIntersect, true)
+	}, kthreads, true)
 	if err != nil {
 		world.Close()
 		return nil, err
@@ -849,7 +849,6 @@ func openFromChain(dir string, chain []*snapshot.Manifest, opt Options, frac, sn
 		baseM:               m.BaseM,
 		appliedEdges:        m.AppliedEdges,
 		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
 		metrics:             newClusterMetrics(opt.Metrics),
 	}
 	cl.lastTri.Store(m.Triangles)

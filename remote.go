@@ -71,39 +71,36 @@ const (
 // wireKernel is the gob-safe subset of core.Options shipped with build and
 // count epochs (Metrics and Trace are process-local and stay behind).
 type wireKernel struct {
-	Enumeration         int
-	NoDoublySparse      bool
-	NoDirectHash        bool
-	NoEarlyBreak        bool
-	NoBlob              bool
-	NoAdaptiveIntersect bool
-	TrackPerShift       bool
-	KernelThreads       int
+	Enumeration    int
+	NoDoublySparse bool
+	NoDirectHash   bool
+	NoEarlyBreak   bool
+	NoBlob         bool
+	TrackPerShift  bool
+	KernelThreads  int
 }
 
 func wireKernelOf(o core.Options) wireKernel {
 	return wireKernel{
-		Enumeration:         int(o.Enumeration),
-		NoDoublySparse:      o.NoDoublySparse,
-		NoDirectHash:        o.NoDirectHash,
-		NoEarlyBreak:        o.NoEarlyBreak,
-		NoBlob:              o.NoBlob,
-		NoAdaptiveIntersect: o.NoAdaptiveIntersect,
-		TrackPerShift:       o.TrackPerShift,
-		KernelThreads:       o.KernelThreads,
+		Enumeration:    int(o.Enumeration),
+		NoDoublySparse: o.NoDoublySparse,
+		NoDirectHash:   o.NoDirectHash,
+		NoEarlyBreak:   o.NoEarlyBreak,
+		NoBlob:         o.NoBlob,
+		TrackPerShift:  o.TrackPerShift,
+		KernelThreads:  o.KernelThreads,
 	}
 }
 
 func (k wireKernel) coreOptions() core.Options {
 	return core.Options{
-		Enumeration:         core.Enumeration(k.Enumeration),
-		NoDoublySparse:      k.NoDoublySparse,
-		NoDirectHash:        k.NoDirectHash,
-		NoEarlyBreak:        k.NoEarlyBreak,
-		NoBlob:              k.NoBlob,
-		NoAdaptiveIntersect: k.NoAdaptiveIntersect,
-		TrackPerShift:       k.TrackPerShift,
-		KernelThreads:       k.KernelThreads,
+		Enumeration:    core.Enumeration(k.Enumeration),
+		NoDoublySparse: k.NoDoublySparse,
+		NoDirectHash:   k.NoDirectHash,
+		NoEarlyBreak:   k.NoEarlyBreak,
+		NoBlob:         k.NoBlob,
+		TrackPerShift:  k.TrackPerShift,
+		KernelThreads:  k.KernelThreads,
 	}
 }
 
@@ -118,12 +115,11 @@ type wireRMAT struct {
 
 // wireBuild parameterizes the one-time opBuild epoch.
 type wireBuild struct {
-	SUMMA      bool
-	Kernel     wireKernel
-	KThreads   int  // standing kernel config (SetKernelConfig)
-	NoAdaptive bool // standing kernel config
-	Track      bool // enable snapshot dirty tracking (durable clusters)
-	RMAT       *wireRMAT
+	SUMMA    bool
+	Kernel   wireKernel
+	KThreads int  // standing kernel config (SetKernelConfig)
+	Track    bool // enable snapshot dirty tracking (durable clusters)
+	RMAT     *wireRMAT
 }
 
 // wireSnap parameterizes opEncodeSnap.
@@ -131,12 +127,11 @@ type wireSnap struct{ Delta bool }
 
 // wireRestore parameterizes one opRestore epoch (one snapshot-chain member).
 type wireRestore struct {
-	Delta      bool // apply a delta blob onto the restored base
-	Final      bool // last chain member: finish kernel config and tracking
-	Ranks      int
-	Track      bool
-	KThreads   int
-	NoAdaptive bool
+	Delta    bool // apply a delta blob onto the restored base
+	Final    bool // last chain member: finish kernel config and tracking
+	Ranks    int
+	Track    bool
+	KThreads int
 }
 
 // wireMeta is the graph metadata piggybacked on every epoch reply from rank
@@ -430,7 +425,7 @@ func (rb *remoteBackend) snapDone() error {
 // epoch per chain member, blobs read (and checksum-verified) from the
 // coordinator's disk. Runs on the raw path: restore IS the way out of the
 // degraded state.
-func (rb *remoteBackend) restoreChain(dir string, chain []*snapshot.Manifest, track bool, kthreads int, noAdaptive bool) error {
+func (rb *remoteBackend) restoreChain(dir string, chain []*snapshot.Manifest, track bool, kthreads int) error {
 	ranks := chain[len(chain)-1].Ranks
 	for i, m := range chain {
 		perRank := make(map[int][]byte, ranks)
@@ -443,7 +438,7 @@ func (rb *remoteBackend) restoreChain(dir string, chain []*snapshot.Manifest, tr
 		}
 		common := gobEncode(wireRestore{
 			Delta: i > 0, Final: i == len(chain)-1,
-			Ranks: ranks, Track: track, KThreads: kthreads, NoAdaptive: noAdaptive,
+			Ranks: ranks, Track: track, KThreads: kthreads,
 		})
 		if _, _, err := rb.opRunRaw(false, opRestore, common, perRank); err != nil {
 			return err
@@ -510,7 +505,7 @@ func (cl *Cluster) restoreWorkersLocked() error {
 			var chain []*snapshot.Manifest
 			chain, err = loadChain(dir, m)
 			if err == nil {
-				err = rb.restoreChain(dir, chain, true, cl.kernelThreads, cl.noAdaptive)
+				err = rb.restoreChain(dir, chain, true, cl.kernelThreads)
 				if err == nil {
 					return cl.replayWALToWorkers(dir, m.AppliedSeq)
 				}
@@ -694,12 +689,11 @@ func newClusterCoordinator(g *Graph, rm *wireRMAT, opt Options, copt Coordinator
 		return nil, err
 	}
 	build := wireBuild{
-		SUMMA:      opt.useSUMMA(p),
-		Kernel:     wireKernelOf(opt.coreOptions()),
-		KThreads:   kthreads,
-		NoAdaptive: opt.NoAdaptiveIntersect,
-		Track:      opt.PersistDir != "",
-		RMAT:       rm,
+		SUMMA:    opt.useSUMMA(p),
+		Kernel:   wireKernelOf(opt.coreOptions()),
+		KThreads: kthreads,
+		Track:    opt.PersistDir != "",
+		RMAT:     rm,
 	}
 	var perRank map[int][]byte
 	if rm == nil {
@@ -723,7 +717,6 @@ func newClusterCoordinator(g *Graph, rm *wireRMAT, opt Options, copt Coordinator
 		baseM:               meta.M,
 		fullPreOps:          meta.PreOps,
 		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
 		metrics:             metrics,
 	}
 	cl.lastTri.Store(-1)
@@ -823,7 +816,7 @@ func OpenClusterCoordinator(dir string, opt Options, copt CoordinatorOptions) (*
 			var chain []*snapshot.Manifest
 			chain, err = loadChain(dir, cand)
 			if err == nil {
-				err = rb.restoreChain(dir, chain, true, kthreads, opt.NoAdaptiveIntersect)
+				err = rb.restoreChain(dir, chain, true, kthreads)
 				if err == nil {
 					m = cand
 					break
@@ -857,7 +850,6 @@ func OpenClusterCoordinator(dir string, opt Options, copt CoordinatorOptions) (*
 		baseM:               m.BaseM,
 		appliedEdges:        m.AppliedEdges,
 		kernelThreads:       kthreads,
-		noAdaptive:          opt.NoAdaptiveIntersect,
 		metrics:             metrics,
 	}
 	cl.lastTri.Store(m.Triangles)

@@ -54,7 +54,8 @@ func launchWorkers(t *testing.T, addr string, spans []int) ([]context.CancelFunc
 // TestCoordinatorMatchesInProcess is the differential oracle test: the same
 // graph and the same update stream through a coordinator + worker-process
 // cluster and through an in-process cluster must produce identical counts,
-// update results and metadata — on both the Cannon and SUMMA schedules.
+// kernel counters, update results and metadata — on both the Cannon and
+// SUMMA schedules.
 func TestCoordinatorMatchesInProcess(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -87,18 +88,31 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 				t.Fatal("CoordinatorAddr is empty")
 			}
 
-			wantRes, err := oracle.Count(QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
+			// Kernel counters travel through the worker wire format (query
+			// options out, allreduced sums back), so they must match the
+			// in-process run exactly, for the default query and for one
+			// that flips a kill switch and the thread count.
+			sameCount := func(stage string, q QueryOptions) {
+				t.Helper()
+				wantRes, err := oracle.Count(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRes, err := cl.Count(q)
+				if err != nil {
+					t.Fatalf("%s: coordinator Count: %v", stage, err)
+				}
+				if gotRes.Triangles != wantRes.Triangles || gotRes.N != wantRes.N || gotRes.M != wantRes.M {
+					t.Fatalf("%s: coordinator count (tri=%d N=%d M=%d) != in-process (tri=%d N=%d M=%d)",
+						stage, gotRes.Triangles, gotRes.N, gotRes.M, wantRes.Triangles, wantRes.N, wantRes.M)
+				}
+				if gotRes.Probes != wantRes.Probes || gotRes.MapTasks != wantRes.MapTasks {
+					t.Fatalf("%s: coordinator counters (probes=%d map=%d) != in-process (%d, %d)",
+						stage, gotRes.Probes, gotRes.MapTasks, wantRes.Probes, wantRes.MapTasks)
+				}
 			}
-			gotRes, err := cl.Count(QueryOptions{})
-			if err != nil {
-				t.Fatalf("coordinator Count: %v", err)
-			}
-			if gotRes.Triangles != wantRes.Triangles || gotRes.N != wantRes.N || gotRes.M != wantRes.M {
-				t.Fatalf("coordinator count (tri=%d N=%d M=%d) != in-process (tri=%d N=%d M=%d)",
-					gotRes.Triangles, gotRes.N, gotRes.M, wantRes.Triangles, wantRes.N, wantRes.M)
-			}
+			sameCount("initial", QueryOptions{})
+			sameCount("initial ablated", QueryOptions{NoEarlyBreak: true, KernelThreads: 1})
 
 			// The same update batches, in the same order, through both.
 			batches := [][]EdgeUpdate{
@@ -116,15 +130,18 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 					t.Fatalf("coordinator batch %d: %v", bi, err)
 				}
 				if gotUp.Inserted != wantUp.Inserted || gotUp.Deleted != wantUp.Deleted ||
-					gotUp.DeltaTriangles != wantUp.DeltaTriangles || gotUp.Triangles != wantUp.Triangles {
+					gotUp.DeltaTriangles != wantUp.DeltaTriangles || gotUp.Triangles != wantUp.Triangles ||
+					gotUp.Probes != wantUp.Probes {
 					t.Fatalf("batch %d: coordinator %+v != in-process %+v", bi, gotUp, wantUp)
 				}
 			}
 
+			sameCount("after updates", QueryOptions{})
+
 			wi, gi := oracle.Info(), cl.Info()
-			if gi.N != wi.N || gi.M != wi.M || gi.Wedges != wi.Wedges {
-				t.Fatalf("Info mismatch: coordinator N=%d M=%d W=%d, in-process N=%d M=%d W=%d",
-					gi.N, gi.M, gi.Wedges, wi.N, wi.M, wi.Wedges)
+			if gi.N != wi.N || gi.M != wi.M || gi.Wedges != wi.Wedges || gi.MapTasks != wi.MapTasks {
+				t.Fatalf("Info mismatch: coordinator N=%d M=%d W=%d map=%d, in-process N=%d M=%d W=%d map=%d",
+					gi.N, gi.M, gi.Wedges, gi.MapTasks, wi.N, wi.M, wi.Wedges, wi.MapTasks)
 			}
 			wantTrans, err := oracle.Transitivity()
 			if err != nil {

@@ -271,7 +271,7 @@ func (ws *workerState) opBuild(c *mpi.Comm, common, mine []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	pr.SetKernelConfig(b.KThreads, b.NoAdaptive)
+	pr.SetKernelConfig(b.KThreads)
 	if b.Track {
 		pr.EnableSnapshotTracking()
 	}
@@ -312,6 +312,6 @@ func (ws *workerState) opRestore(c *mpi.Comm, common, mine []byte) ([]byte, erro
 	if r.Track {
 		pr.EnableSnapshotTracking()
 	}
-	pr.SetKernelConfig(r.KThreads, r.NoAdaptive)
+	pr.SetKernelConfig(r.KThreads)
 	return ws.reply(c, opReply{}, pr)
 }
