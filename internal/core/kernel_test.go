@@ -111,6 +111,35 @@ func TestKernelThreadsDifferential(t *testing.T) {
 	}
 }
 
+// TestKernelThreadsWithAblations checks that every §7.3 ablation toggle
+// composes with the parallel kernel on the one-shot count path: the
+// triangle count is invariant, and each toggled run's counters are
+// identical at 1 and 3 workers.
+func TestKernelThreadsWithAblations(t *testing.T) {
+	g := mustRMAT(t, rmat.G500, 8, 8, 6)
+	want := seqtc.Count(g)
+	combos := []Options{
+		{NoDoublySparse: true},
+		{NoDirectHash: true},
+		{NoEarlyBreak: true},
+		{NoBlob: true},
+		{NoDoublySparse: true, NoDirectHash: true, NoEarlyBreak: true, NoBlob: true},
+	}
+	for i, opt := range combos {
+		opt.KernelThreads = 1
+		seq := countVia(t, g, 9, opt)
+		opt.KernelThreads = 3
+		par := countVia(t, g, 9, opt)
+		if seq.Triangles != want || par.Triangles != want {
+			t.Errorf("combo %d: triangles seq=%d par=%d, want %d", i, seq.Triangles, par.Triangles, want)
+		}
+		if par.Probes != seq.Probes || par.MapTasks != seq.MapTasks {
+			t.Errorf("combo %d: 3-worker counters (probes=%d map=%d) != sequential (%d, %d)",
+				i, par.Probes, par.MapTasks, seq.Probes, seq.MapTasks)
+		}
+	}
+}
+
 // TestKernelPartitionLPT pins the partitioner's contract: every non-empty
 // row lands in exactly one bucket, no bucket is assigned a zero-weight row,
 // and the heaviest bucket carries at most the average plus one row's
