@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
 )
 
@@ -42,33 +43,33 @@ type cscBlock struct {
 
 func (b *cscBlock) col(i int32) []int32 { return b.adj[b.xadj[i]:b.xadj[i+1]] }
 
+// transpose returns the block in CSR form with the given number of rows
+// (row → sorted columns). Walking the columns in ascending order keeps every
+// row sorted without a sort.
+func (b *cscBlock) transpose(rows int32) csrBlock {
+	t := csrBlock{rows: rows, xadj: make([]int32, rows+1), adj: make([]int32, len(b.adj))}
+	for _, r := range b.adj {
+		t.xadj[r+1]++
+	}
+	for a := int32(0); a < rows; a++ {
+		t.xadj[a+1] += t.xadj[a]
+	}
+	next := slices.Clone(t.xadj[:rows])
+	for i := int32(0); i < b.cols; i++ {
+		for _, r := range b.col(i) {
+			t.adj[next[r]] = i
+			next[r]++
+		}
+	}
+	return t
+}
+
 // buildCSR constructs a csrBlock with the given number of rows from (row,
-// value) pairs; each row's values are sorted ascending.
+// value) pairs, which it consumes (graph.RowsFromPairs); each row's values
+// are sorted ascending.
 func buildCSR(rows int32, pairs [][]int32) csrBlock {
-	blk := csrBlock{rows: rows, xadj: make([]int32, rows+1)}
-	for _, part := range pairs {
-		for i := 0; i < len(part); i += 2 {
-			blk.xadj[part[i]+1]++
-		}
-	}
-	for a := int32(0); a < rows; a++ {
-		blk.xadj[a+1] += blk.xadj[a]
-	}
-	blk.adj = make([]int32, blk.xadj[rows])
-	next := make([]int32, rows)
-	copy(next, blk.xadj[:rows])
-	for _, part := range pairs {
-		for i := 0; i < len(part); i += 2 {
-			a := part[i]
-			blk.adj[next[a]] = part[i+1]
-			next[a]++
-		}
-	}
-	for a := int32(0); a < rows; a++ {
-		row := blk.adj[blk.xadj[a]:blk.xadj[a+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-	}
-	return blk
+	xadj, adj := graph.RowsFromPairs[int32](rows, pairs)
+	return csrBlock{rows: rows, xadj: xadj, adj: adj}
 }
 
 // Block blob layout (§5.2 "reducing overheads associated with

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"tc2d/internal/dgraph"
 	"tc2d/internal/mpi"
 )
@@ -102,6 +104,7 @@ func cyclicRedistribute(c *mpi.Comm, in *dgraph.Dist1D, ops *int64) *dgraph.Dist
 		out.Xadj = xadj
 		out.Adj = adj
 	})
+	mpi.RecycleInt32s(got)
 	return out
 }
 
@@ -172,33 +175,38 @@ func build2D(c *mpi.Comm, grid *mpi.Grid, rl *relabeled, enum Enumeration, ops *
 	}
 	c.Compute(func() {
 		qi := int32(q)
-		// Split received pairs into U entries and L entries, converting to
-		// local indices.
-		var uPairs, lByCol, taskPairs []int32
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
+		// Partition every received part in place: U entries (wu > wv) move
+		// to the front as local (row, col) pairs, L entries (row wv=j, col
+		// wu=i) to the back as (col, row) pairs for the CSC. The builder
+		// then consumes both halves of each part directly; got lets go of
+		// the parts so they are freed once both blocks are built.
+		uParts := make([][]int32, len(got))
+		lParts := make([][]int32, len(got))
+		for s, part := range got {
+			i, j := 0, len(part)
+			for i < j {
 				wv, wu := part[i], part[i+1]
-				lr, lc := wv/qi, wu/qi
 				if wu > wv {
-					// U entry (row wv, col wu).
-					uPairs = append(uPairs, lr, lc)
-					if enum == EnumIJK {
-						taskPairs = append(taskPairs, lr, lc)
-					}
+					part[i], part[i+1] = wv/qi, wu/qi
+					i += 2
 				} else {
-					// L entry (row wv=j, col wu=i): CSC keyed by column.
-					lByCol = append(lByCol, lc, lr)
-					if enum == EnumJIK {
-						taskPairs = append(taskPairs, lr, lc)
-					}
+					j -= 2
+					part[i], part[i+1] = part[j], part[j+1]
+					part[j], part[j+1] = wu/qi, wv/qi
 				}
 				*ops++
 			}
+			uParts[s], lParts[s] = part[:i], part[i:]
 		}
-		blk.ublk = buildCSR(blk.nRowsX, [][]int32{uPairs})
-		lcsr := buildCSR(blk.nColsY, [][]int32{lByCol})
+		clear(got)
+		blk.ublk = buildCSR(blk.nRowsX, uParts)
+		lcsr := buildCSR(blk.nColsY, lParts)
 		blk.lblk = cscBlock{cols: lcsr.rows, xadj: lcsr.xadj, adj: lcsr.adj}
-		blk.task = buildCSR(blk.nRowsX, [][]int32{taskPairs})
+		if enum == EnumIJK {
+			blk.task = csrBlock{rows: blk.nRowsX, xadj: slices.Clone(blk.ublk.xadj), adj: slices.Clone(blk.ublk.adj)}
+		} else {
+			blk.task = blk.lblk.transpose(blk.nRowsX)
+		}
 		blk.taskRows = blk.task.nonEmptyRows()
 	})
 

@@ -126,6 +126,7 @@ func buildSUMMA(c *mpi.Comm, grid *mpi.RectGrid, rl *relabeled, L int, enum Enum
 				*ops++
 			}
 		}
+		mpi.RecycleInt32s(got)
 		for t, pairs := range uPairs {
 			b := buildCSR(blk.nRows, [][]int32{pairs})
 			blk.uBucket[t] = b

@@ -2,7 +2,6 @@ package delta
 
 import (
 	"fmt"
-	"sort"
 
 	"tc2d/internal/core"
 	"tc2d/internal/dgraph"
@@ -97,12 +96,10 @@ func Rebuild(c *mpi.Comm, prep *core.Prepared) (*core.Prepared, error) {
 				i += 2 + cnt
 			}
 		}
-		for v := 0; v < nloc; v++ {
-			row := adj[xadj[v]:xadj[v+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		}
+		// Rows stay in arrival order: Prepare does not depend on it.
 		dist.Xadj, dist.Adj = xadj, adj
 	})
+	mpi.RecycleInt32s(got)
 
 	// (2) The ordinary pipeline, same grid shape and enumeration.
 	copt := core.Options{Enumeration: prep.Enumeration()}

@@ -6,7 +6,6 @@ package dgraph
 
 import (
 	"fmt"
-	"sort"
 
 	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
@@ -18,12 +17,19 @@ import (
 // distribution, in which each processor has n/p vertices and its associated
 // adjacency lists"). Rank r holds the contiguous vertex range [VBeg, VEnd)
 // with full (both-direction) adjacency lists in global ids.
+//
+// Row order is a property of the producer, not of the type. Rows come out
+// sorted ascending from GenerateRMAT1D/GenerateER1D (assemble1D),
+// ScatterGraph (it copies a sorted Graph) and RelabelByDegree (Above and
+// Below binary-search them). Other producers — the cyclic redistribution
+// inside core.Prepare, the delta package's rebuild reassembly — leave rows
+// in arrival order; the preprocessing pipeline does not depend on it.
 type Dist1D struct {
 	N    int64   // global number of vertices
 	VBeg int32   // first owned vertex (global id)
 	VEnd int32   // one past the last owned vertex
 	Xadj []int64 // local row pointers, length VEnd-VBeg+1
-	Adj  []int32 // neighbor lists in global ids, sorted per vertex
+	Adj  []int32 // neighbor lists in global ids
 }
 
 // NumLocal returns the number of locally owned vertices.
@@ -167,45 +173,18 @@ func assemble1D(c *mpi.Comm, n int64, edges []graph.Edge) (*Dist1D, error) {
 	beg, end := BlockRange(c.Rank(), n, p)
 	out := &Dist1D{N: n, VBeg: beg, VEnd: end}
 	c.Compute(func() {
-		nloc := int(end - beg)
-		counts := make([]int64, nloc+1)
+		// Received parts are (source, neighbour) pairs owned by this call:
+		// rebase the sources to local rows in place, let the builder consume
+		// the parts into sorted rows, then drop duplicates in one linear
+		// pass.
 		for _, part := range got {
 			for i := 0; i < len(part); i += 2 {
-				counts[part[i]-beg+1]++
+				part[i] -= beg
 			}
 		}
-		for v := 0; v < nloc; v++ {
-			counts[v+1] += counts[v]
-		}
-		adj := make([]int32, counts[nloc])
-		next := make([]int64, nloc)
-		copy(next, counts[:nloc])
-		for _, part := range got {
-			for i := 0; i < len(part); i += 2 {
-				lv := part[i] - beg
-				adj[next[lv]] = part[i+1]
-				next[lv]++
-			}
-		}
-		// Sort and dedup each list, compacting in place.
-		xadj := make([]int64, nloc+1)
-		w := int64(0)
-		for v := 0; v < nloc; v++ {
-			row := adj[counts[v]:counts[v+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			var prev int32 = -1
-			for _, u := range row {
-				if u == prev {
-					continue
-				}
-				prev = u
-				adj[w] = u
-				w++
-			}
-			xadj[v+1] = w
-		}
+		xadj, adj := graph.RowsFromPairs[int64](end-beg, got)
+		out.Adj = graph.UniqueRows(xadj, adj)
 		out.Xadj = xadj
-		out.Adj = adj[:w:w]
 	})
 	return out, nil
 }

@@ -3,6 +3,7 @@ package dgraph
 import (
 	"sort"
 
+	"tc2d/internal/graph"
 	"tc2d/internal/mpi"
 )
 
@@ -62,35 +63,31 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 		}
 	})
 
-	// Resolve neighbour labels: unique sorted requests per owner rank.
+	// Resolve neighbour labels. One radix ordering of the adjacency visits
+	// every distinct neighbour in ascending order: each owner's request
+	// list comes out sorted and unique, and owners are found by advancing
+	// over BlockRange boundaries instead of a division per entry.
+	var ord []int32
 	reqs := make([][]int32, p)
 	c.Compute(func() {
-		for _, u := range in.Adj {
-			r := BlockOwner(u, in.N, p)
-			reqs[r] = append(reqs[r], u)
+		ord = graph.Order(in.Adj)
+		r, prev := 0, int32(-1)
+		_, end := BlockRange(r, in.N, p)
+		for _, i := range ord {
 			*ops++
-		}
-		for r := range reqs {
-			q := reqs[r]
-			sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
-			w := 0
-			for i, u := range q {
-				if i > 0 && u == q[i-1] {
-					continue
-				}
-				q[w] = u
-				w++
+			u := in.Adj[i]
+			if u == prev {
+				continue
 			}
-			reqs[r] = q[:w]
+			prev = u
+			for u >= end {
+				r++
+				_, end = BlockRange(r, in.N, p)
+			}
+			reqs[r] = append(reqs[r], u)
 		}
 	})
-	// AlltoallvInt32 takes ownership of (and recycles) its send buffers,
-	// and the binary-search rewrite below still needs reqs — send copies.
-	askCopies := make([][]int32, p)
-	for r := range reqs {
-		askCopies[r] = append([]int32(nil), reqs[r]...)
-	}
-	asked := c.AlltoallvInt32(askCopies)
+	asked := c.AlltoallvInt32(reqs)
 	resp := make([][]int32, p)
 	c.Compute(func() {
 		for r := range asked {
@@ -102,28 +99,28 @@ func DegreeLabels(c *mpi.Comm, in *Dist1D, ops *int64) (labels []int32, newAdj [
 			resp[r] = out
 		}
 	})
+	mpi.RecycleInt32s(asked)
 	answers := c.AlltoallvInt32(resp)
 
-	// Rewrite the adjacency via binary search into the request lists
-	// (answers are aligned with requests).
+	// Rewrite the adjacency by walking the same order again: the answers
+	// are aligned with the requests, so the k-th distinct neighbour's label
+	// is the k-th answer counted across owners.
 	c.Compute(func() {
 		newAdj = make([]int32, len(in.Adj))
-		for i, u := range in.Adj {
-			r := BlockOwner(u, in.N, p)
-			q := reqs[r]
-			lo, hi := 0, len(q)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if q[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
+		r, j, prev := 0, -1, int32(-1)
+		for _, i := range ord {
+			if u := in.Adj[i]; u != prev {
+				prev = u
+				j++
+				for j == len(answers[r]) {
+					r, j = r+1, 0
 				}
 			}
-			newAdj[i] = answers[r][lo]
+			newAdj[i] = answers[r][j]
 			*ops++
 		}
 	})
+	mpi.RecycleInt32s(answers)
 	return labels, newAdj
 }
 
@@ -142,11 +139,17 @@ func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
 	// id, with lists sorted for downstream merge intersections.
 	sendbuf := make([][]int32, p)
 	c.Compute(func() {
+		pairs := make([]int32, 0, 2*len(newAdj))
+		for lv := 0; lv < nloc; lv++ {
+			for _, u := range newAdj[in.Xadj[lv]:in.Xadj[lv+1]] {
+				pairs = append(pairs, int32(lv), u)
+			}
+		}
+		xadj, sorted := graph.RowsFromPairs[int64](int32(nloc), [][]int32{pairs})
 		for lv := 0; lv < nloc; lv++ {
 			w := labels[lv]
 			dst := BlockOwner(w, in.N, p)
-			row := newAdj[in.Xadj[lv]:in.Xadj[lv+1]]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			row := sorted[xadj[lv]:xadj[lv+1]]
 			buf := sendbuf[dst]
 			buf = append(buf, w, int32(len(row)))
 			buf = append(buf, row...)
@@ -186,6 +189,7 @@ func RelabelByDegree(c *mpi.Comm, in *Dist1D) *Dist1D {
 		out.Xadj = xadj
 		out.Adj = adj
 	})
+	mpi.RecycleInt32s(got)
 	return out
 }
 

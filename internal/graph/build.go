@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is one undirected edge. Orientation carries no meaning; builders
 // symmetrize.
@@ -24,53 +21,17 @@ func FromEdges(n int32, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
 	}
-	// First pass: count directed entries (excluding self loops).
-	counts := make([]int64, n+1)
+	// Both directions of every non-loop edge as (row, neighbour) pairs;
+	// the builder sorts each row, then duplicates are compacted away.
+	pairs := make([]int32, 0, 4*len(edges))
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			pairs = append(pairs, e.U, e.V, e.V, e.U)
 		}
-		counts[e.U+1]++
-		counts[e.V+1]++
 	}
-	xadj := make([]int64, n+1)
-	for v := int32(0); v < n; v++ {
-		xadj[v+1] = xadj[v] + counts[v+1]
-	}
-	adj := make([]int32, xadj[n])
-	next := make([]int64, n)
-	copy(next, xadj[:n])
-	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		adj[next[e.U]] = e.V
-		next[e.U]++
-		adj[next[e.V]] = e.U
-		next[e.V]++
-	}
-	// Sort and dedup each list, then compact.
-	out := &Graph{N: n, Xadj: make([]int64, n+1)}
-	outAdj := adj[:0] // compact in place; reads stay ahead of writes
-	w := int64(0)
-	for v := int32(0); v < n; v++ {
-		row := adj[xadj[v]:xadj[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		start := w
-		var prev int32 = -1
-		for _, u := range row {
-			if u == prev {
-				continue
-			}
-			prev = u
-			outAdj = append(outAdj[:w], u)
-			w++
-		}
-		_ = start
-		out.Xadj[v+1] = w
-	}
-	out.Adj = append([]int32(nil), outAdj[:w]...)
-	return out, nil
+	xadj, adj := RowsFromPairs[int64](n, [][]int32{pairs})
+	adj = UniqueRows(xadj, adj)
+	return &Graph{N: n, Xadj: xadj, Adj: append([]int32(nil), adj...)}, nil
 }
 
 // FromSortedAdjacency builds a Graph directly from pre-validated CSR arrays.
@@ -93,22 +54,13 @@ func (g *Graph) Permute(perm []int32) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	xadj := make([]int64, g.N+1)
+	pairs := make([]int32, 0, 2*len(g.Adj))
 	for v := int32(0); v < g.N; v++ {
-		xadj[perm[v]+1] = int64(g.Degree(v))
-	}
-	for v := int32(0); v < g.N; v++ {
-		xadj[v+1] += xadj[v]
-	}
-	adj := make([]int32, len(g.Adj))
-	for v := int32(0); v < g.N; v++ {
-		nv := perm[v]
-		row := adj[xadj[nv] : xadj[nv]+int64(g.Degree(v))]
-		for i, u := range g.Neighbors(v) {
-			row[i] = perm[u]
+		for _, u := range g.Neighbors(v) {
+			pairs = append(pairs, perm[v], perm[u])
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 	}
+	xadj, adj := RowsFromPairs[int64](g.N, [][]int32{pairs})
 	return &Graph{N: g.N, Xadj: xadj, Adj: adj}, nil
 }
 

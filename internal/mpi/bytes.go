@@ -22,10 +22,20 @@ func aligned(b []byte, n uintptr) bool {
 // Int32sToBytes copies v into a new byte slice (little-endian, native width).
 func Int32sToBytes(v []int32) []byte {
 	b := make([]byte, 4*len(v))
-	if len(v) > 0 {
-		src := unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
-		copy(b, src)
-	}
+	copy(b, int32Bytes(v))
+	return b
+}
+
+// int32Bytes views v's whole backing array (up to its capacity) as bytes,
+// without copying.
+func int32Bytes(v []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*cap(v))[:4*len(v)]
+}
+
+// pooledInt32Bytes copies v into a byte buffer drawn from the byte pool.
+func pooledInt32Bytes(v []int32) []byte {
+	b := GetByteBuf(4 * len(v))
+	copy(b, int32Bytes(v))
 	return b
 }
 

@@ -303,14 +303,16 @@ func (c *Comm) Alltoallv(send [][]byte) [][]byte {
 }
 
 // AlltoallvInt32 is Alltoallv over int32 payloads. Ownership of the send
-// buffers transfers to the runtime: their contents are copied to the wire
-// staging and the buffers recycled into the send pool (see SendBufs), so
-// callers must not read them after the call.
+// buffers transfers to the runtime: their contents are copied to wire
+// staging drawn from the byte pool and the buffers recycled into the send
+// pool (see SendBufs), so callers must not read them after the call. The
+// returned parts alias the received wire buffers; a caller that has copied
+// out of them hands them back with RecycleInt32s.
 func (c *Comm) AlltoallvInt32(send [][]int32) [][]int32 {
 	p := c.world.size
 	bufs := make([][]byte, p)
 	for d := range send {
-		bufs[d] = Int32sToBytes(send[d])
+		bufs[d] = pooledInt32Bytes(send[d])
 	}
 	recycleSendBufs(send)
 	got := c.Alltoallv(bufs)

@@ -90,3 +90,15 @@ func RecycleByteBufs(bufs [][]byte) {
 		RecycleByteBuf(b)
 	}
 }
+
+// RecycleInt32s returns received int32 payloads — the parts AlltoallvInt32
+// delivers, which alias their wire buffers — to the byte pool once the
+// caller has copied out of them. AlltoallvInt32 stages its sends in pool
+// buffers, so a consumer that recycles its parts feeds the next exchange.
+// Entries are nilled so a stale read fails fast.
+func RecycleInt32s(parts [][]int32) {
+	for i, v := range parts {
+		parts[i] = nil
+		RecycleByteBuf(int32Bytes(v[:0]))
+	}
+}
